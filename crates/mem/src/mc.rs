@@ -67,6 +67,9 @@ struct Queued {
 #[derive(Debug)]
 pub struct MemoryController {
     queue: VecDeque<Queued>,
+    /// Queued requests per bank (indexed by bank, grown on demand), so
+    /// [`MemoryController::next_issue_at`] costs O(banks), not O(queue).
+    bank_queued: Vec<u32>,
     capacity: usize,
     in_flight: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
@@ -87,6 +90,7 @@ impl MemoryController {
         assert!(capacity > 0, "controller queue capacity must be non-zero");
         MemoryController {
             queue: VecDeque::new(),
+            bank_queued: Vec::new(),
             capacity,
             in_flight: BinaryHeap::new(),
             seq: 0,
@@ -123,9 +127,14 @@ impl MemoryController {
         if !self.can_accept() {
             return Err(req);
         }
+        let bank = dram.bank_of(req.addr);
+        if self.bank_queued.len() <= bank {
+            self.bank_queued.resize(bank + 1, 0);
+        }
+        self.bank_queued[bank] += 1;
         self.queue.push_back(Queued {
             req,
-            bank: dram.bank_of(req.addr),
+            bank,
             row: dram.row_of(req.addr),
             at: now,
         });
@@ -159,6 +168,7 @@ impl MemoryController {
         let pick = pick.or(first_free);
         if let Some(i) = pick {
             let q = self.queue.remove(i).expect("index from position");
+            self.bank_queued[q.bank] -= 1;
             let req = q.req;
             let svc = dram.service_at(q.bank, q.row, now);
             if self.metrics {
@@ -217,17 +227,16 @@ impl MemoryController {
     /// clamped to `from` (`u64::MAX` when the queue is empty). Banks only
     /// change state when this controller issues to them, so the horizon is
     /// exact between steps — this is the controller's "next event at"
-    /// contract for the event engine.
+    /// contract for the event engine. O(banks): it reads the per-bank
+    /// queued counts, not the queue.
     pub fn next_issue_at(&self, dram: &DramChannel, from: u64) -> u64 {
-        let mut next = u64::MAX;
-        for q in &self.queue {
-            let t = dram.bank_busy_until(q.bank);
-            if t <= from {
-                return from;
-            }
-            next = next.min(t);
-        }
-        next
+        self.bank_queued
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(bank, _)| dram.bank_busy_until(bank))
+            .min()
+            .map_or(u64::MAX, |t| t.max(from))
     }
 
     /// Per-application counters (zero for apps never seen).
@@ -427,5 +436,46 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert!(h.min() > 0, "queue-to-data latency must be positive");
         assert!(mc.take_latency(AppId::new(0)).is_empty());
+    }
+
+    /// The queue-scan definition of the issue horizon that the per-bank
+    /// counts replace: min `busy_until` over every queued request's bank,
+    /// clamped to `from`.
+    fn scan_next_issue_at(mc: &MemoryController, dram: &DramChannel, from: u64) -> u64 {
+        let mut next = u64::MAX;
+        for q in &mc.queue {
+            let t = dram.bank_busy_until(q.bank);
+            if t <= from {
+                return from;
+            }
+            next = next.min(t);
+        }
+        next
+    }
+
+    #[test]
+    fn issue_horizon_matches_queue_scan() {
+        let mut rng = gpu_types::SplitMix64::new(0x3C_0001);
+        for _ in 0..64 {
+            let mut mc = MemoryController::new(1 + rng.next_below(16) as usize);
+            let mut ch = dram();
+            let mut done = Vec::new();
+            let mut now = 0;
+            for id in 0..400 {
+                // Bursts of pushes fill the queue; idle gaps let it drain.
+                for _ in 0..rng.next_below(3) {
+                    let _ = mc.push_with(load(id, rng.next_below(256)), &ch, now);
+                }
+                for from in [now, now + 1, now + 40] {
+                    assert_eq!(
+                        mc.next_issue_at(&ch, from),
+                        scan_next_issue_at(&mc, &ch, from),
+                        "horizon diverged at cycle {now} (from {from})"
+                    );
+                }
+                mc.step_into(now, &mut ch, &mut done);
+                now += 1 + rng.next_below(4);
+            }
+        }
     }
 }

@@ -33,9 +33,14 @@ pub struct Crossbar<T> {
     /// [`Crossbar::take_peak_in_flight`] — one compare per push, cheap
     /// enough to track unconditionally.
     peak_buffered: usize,
-    /// Arbitration scratch ("this input already sent a flit this cycle"),
-    /// kept as a member so [`Crossbar::step_with`] allocates nothing.
-    input_used: Vec<bool>,
+    /// Arbitration scratch, all-zero between steps and kept as a member so
+    /// [`Crossbar::step_with`] allocates nothing: per output, a bitmask of
+    /// the input ports whose ready head targets it (`ceil(n_inputs / 64)`
+    /// words per output, output-major).
+    contenders: Vec<u64>,
+    /// Arbitration scratch, all-zero between steps: a bitmask of the
+    /// outputs with at least one bit set in `contenders`.
+    active_outputs: Vec<u64>,
 }
 
 impl<T> Crossbar<T> {
@@ -67,7 +72,8 @@ impl<T> Crossbar<T> {
             rr: vec![0; n_outputs],
             buffered: 0,
             peak_buffered: 0,
-            input_used: vec![false; n_inputs],
+            contenders: vec![0; n_outputs * n_inputs.div_ceil(64)],
+            active_outputs: vec![0; n_outputs.div_ceil(64)],
         }
     }
 
@@ -120,9 +126,7 @@ impl<T> Crossbar<T> {
     /// through `deliver(output_port, payload)` in grant order.
     ///
     /// This is the hot-path form: arbitration scratch lives on the crossbar
-    /// and nothing is allocated. When no head-of-line flit is deliverable it
-    /// returns immediately — exact, because grants (and thus `rr` pointer
-    /// movement) only ever happen for deliverable flits.
+    /// and nothing is allocated. An empty crossbar returns immediately.
     pub fn step_with(&mut self, now: u64, mut deliver: impl FnMut(usize, T)) {
         self.step_routed(now, |_input, out, payload| deliver(out, payload));
     }
@@ -134,46 +138,50 @@ impl<T> Crossbar<T> {
     /// arbitration for a whole lookahead window at the window boundary and
     /// needs the source port of every grant to compute exact per-port
     /// admission-budget refunds for the domain workers.
+    ///
+    /// Costs O(inputs + outputs) per cycle. One pass over the input heads
+    /// buckets every ready head into its output's contender bitmask; each
+    /// output with contenders then grants, in ascending output order, up to
+    /// `grants_per_output` of them in cyclic order from its round-robin
+    /// pointer. This decides exactly what the reference [`Crossbar::step`]
+    /// decides: only heads are granted and an input sends at most one flit
+    /// per cycle, so each input contends at exactly one output for the
+    /// whole cycle and the scan-time heads fix every grant.
     pub fn step_routed(&mut self, now: u64, mut deliver: impl FnMut(usize, usize, T)) {
         if self.buffered == 0 {
             return;
         }
-        if !self
-            .inputs
-            .iter()
-            .any(|q| matches!(q.front(), Some(f) if f.ready_at <= now))
-        {
-            return;
+        let words = self.contenders.len() / self.n_outputs;
+        for (i, q) in self.inputs.iter().enumerate() {
+            if let Some(f) = q.front() {
+                if f.ready_at <= now {
+                    self.contenders[f.dest * words + i / 64] |= 1 << (i % 64);
+                    self.active_outputs[f.dest / 64] |= 1 << (f.dest % 64);
+                }
+            }
         }
         let n_inputs = self.inputs.len();
-        for u in &mut self.input_used {
-            *u = false;
-        }
-        for out in 0..self.n_outputs {
-            let mut grants = 0;
-            let start = self.rr[out];
-            for k in 0..n_inputs {
-                if grants == self.grants_per_output {
-                    break;
-                }
-                let i = (start + k) % n_inputs;
-                if self.input_used[i] {
-                    continue;
-                }
-                let eligible = matches!(
-                    self.inputs[i].front(),
-                    Some(f) if f.dest == out && f.ready_at <= now
-                );
-                if eligible {
-                    let flit = self.inputs[i].pop_front().expect("front checked above");
+        for w in 0..self.active_outputs.len() {
+            while self.active_outputs[w] != 0 {
+                let bit = self.active_outputs[w].trailing_zeros() as usize;
+                self.active_outputs[w] &= !(1 << bit);
+                let out = w * 64 + bit;
+                let mask = &mut self.contenders[out * words..(out + 1) * words];
+                let start = self.rr[out];
+                for _ in 0..self.grants_per_output {
+                    let Some(i) = next_set_bit(mask, start).or_else(|| next_set_bit(mask, 0))
+                    else {
+                        break;
+                    };
+                    mask[i / 64] &= !(1 << (i % 64));
+                    let flit = self.inputs[i].pop_front().expect("contender has a head");
                     self.buffered -= 1;
                     deliver(i, out, flit.payload);
-                    self.input_used[i] = true;
-                    grants += 1;
                     // Advance the pointer past the last granted input so a
                     // persistent sender cannot starve others.
                     self.rr[out] = (i + 1) % n_inputs;
                 }
+                mask.fill(0);
             }
         }
         debug_assert_eq!(
@@ -217,28 +225,6 @@ impl<T> Crossbar<T> {
             }
         }
         delivered
-    }
-
-    /// The cycle (exclusive) until which this crossbar is provably inert:
-    /// `Some(u64::MAX)` when empty, the earliest head-of-line `ready_at`
-    /// when every buffered flit is still in wire traversal, and `None` when
-    /// a flit is deliverable at `now` (the crossbar must be stepped).
-    /// Head-of-line flits suffice: only they can be granted, and latency is
-    /// constant so each FIFO's head has its queue's earliest `ready_at`.
-    pub fn quiescent_until(&self, now: u64) -> Option<u64> {
-        if self.buffered == 0 {
-            return Some(u64::MAX);
-        }
-        let mut next = u64::MAX;
-        for q in &self.inputs {
-            if let Some(f) = q.front() {
-                if f.ready_at <= now {
-                    return None;
-                }
-                next = next.min(f.ready_at);
-            }
-        }
-        Some(next)
     }
 
     /// The earliest head-of-line `ready_at`, or `None` when the crossbar
@@ -300,6 +286,17 @@ impl<T> Crossbar<T> {
             self.peak_buffered = to;
         }
     }
+}
+
+/// The lowest set bit index `>= from` in the little-endian bitmask `mask`.
+fn next_set_bit(mask: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = mask.get(w)? & (!0 << (from % 64));
+    while bits == 0 {
+        w += 1;
+        bits = *mask.get(w)?;
+    }
+    Some(w * 64 + bits.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -497,14 +494,5 @@ mod tests {
         assert_eq!(x.take_peak_in_flight(), 3);
         x.raise_peak(0);
         assert_eq!(x.take_peak_in_flight(), 1, "never lowers below the mark");
-    }
-
-    #[test]
-    fn quiescent_until_reports_traversal_horizon() {
-        let mut x: Crossbar<u32> = Crossbar::new(2, 2, 5, 1, 4);
-        assert_eq!(x.quiescent_until(0), Some(u64::MAX), "empty crossbar");
-        x.push(0, 1, 9, 10).unwrap();
-        assert_eq!(x.quiescent_until(10), Some(15), "in traversal until 15");
-        assert_eq!(x.quiescent_until(15), None, "deliverable now");
     }
 }

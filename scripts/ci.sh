@@ -20,6 +20,9 @@ cargo test --workspace --release -q
 echo "== engine equivalence (optimized vs reference engine, release) =="
 cargo test -p gpu-sim --test engine_equivalence --release -q
 
+echo "== Volta pin gate (perfbench volta_corun: every output digest matches perfbench/pins.json) =="
+python3 perfbench/run.py --workload volta_corun --seed 42 --seconds 5 --trace 0
+
 echo "== cargo test --doc (workspace doctests) =="
 cargo test --workspace --release -q --doc
 
