@@ -7,6 +7,13 @@
 //! the caller at their data-completion cycle; stores consume bandwidth but
 //! produce no response.
 //!
+//! The queue is a fixed slab of `capacity` entries threaded into one FIFO
+//! per bank, each entry stamped with its arrival number. Bank readiness and
+//! the open row depend only on the bank, so the oldest row hit over free
+//! banks is the oldest of each free bank's first row hit, and the oldest
+//! request over free banks is the oldest of their heads: the pick costs
+//! O(banks) and equals the first match of an arrival-order queue scan.
+//!
 //! The controller also owns the per-application accounting the paper's
 //! designated-partition sampling reads: useful bytes transferred (attained
 //! bandwidth) and row-buffer hit/miss counts.
@@ -16,7 +23,6 @@ use crate::req::{AccessKind, MemRequest};
 use gpu_types::{AppId, Histogram, LINE_SIZE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 /// Per-application DRAM-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,23 +59,66 @@ impl Ord for InFlight {
     }
 }
 
+/// The null link of the slab's intrusive lists.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a queued request, linked into its bank's FIFO (or, when
+/// vacant, into the free list through `next`).
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     req: MemRequest,
-    bank: usize,
     row: u64,
     /// Arrival cycle, recorded so the metrics layer can attribute the full
     /// queue-to-data latency (`done_at - at`) when the request is issued.
     at: u64,
+    /// Arrival number: FR-FCFS age order across banks.
+    arrival: u64,
+    bank: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// One bank's FIFO of slab indices, oldest first.
+#[derive(Debug, Clone, Copy)]
+struct BankFifo {
+    head: u32,
+    tail: u32,
+    /// The oldest entry whose row the bank has open, if any. The open row
+    /// changes only when this controller issues to the bank, which
+    /// recomputes it; a push can only supply the first hit.
+    hit: u32,
+}
+
+impl BankFifo {
+    const EMPTY: BankFifo = BankFifo {
+        head: NIL,
+        tail: NIL,
+        hit: NIL,
+    };
 }
 
 /// An FR-FCFS controller fronting one [`DramChannel`].
+///
+/// The controller caches bank state it read from the channel (each bank's
+/// first row hit and the issue horizon), so every call must pass the same
+/// channel, and only this controller may issue to it.
 #[derive(Debug)]
 pub struct MemoryController {
-    queue: VecDeque<Queued>,
-    /// Queued requests per bank (indexed by bank, grown on demand), so
-    /// [`MemoryController::next_issue_at`] costs O(banks), not O(queue).
-    bank_queued: Vec<u32>,
+    /// Queue entries, grown on demand up to `capacity` and then reused.
+    slab: Vec<Queued>,
+    /// Head of the vacant-entry list.
+    free: u32,
+    /// Per-bank FIFOs over `slab` (indexed by bank, grown on demand).
+    banks: Vec<BankFifo>,
+    /// Requests queued across all banks.
+    len: usize,
+    /// Arrival number of the next pushed request.
+    arrivals: u64,
+    /// Minimum `bank_busy_until` over the banks with queued requests
+    /// (`u64::MAX` when the queue is empty): no request can issue before
+    /// it. Bank state changes only on this controller's issues, so it is
+    /// exact between them.
+    horizon: u64,
     capacity: usize,
     in_flight: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
@@ -85,12 +134,21 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit the slab's 32-bit
+    /// links.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "controller queue capacity must be non-zero");
+        assert!(
+            u32::try_from(capacity).is_ok_and(|c| c < NIL),
+            "controller queue capacity must fit the slab's 32-bit links"
+        );
         MemoryController {
-            queue: VecDeque::new(),
-            bank_queued: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
+            banks: Vec::new(),
+            len: 0,
+            arrivals: 0,
+            horizon: u64::MAX,
             capacity,
             in_flight: BinaryHeap::new(),
             seq: 0,
@@ -109,11 +167,11 @@ impl MemoryController {
 
     /// True when another request can be enqueued.
     pub fn can_accept(&self) -> bool {
-        self.queue.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Enqueues a request arriving at cycle `now`. The bank/row decode
-    /// happens once here so the per-cycle FR-FCFS scan is division-free.
+    /// happens once here so the per-cycle FR-FCFS pick is division-free.
     ///
     /// # Errors
     ///
@@ -128,17 +186,72 @@ impl MemoryController {
             return Err(req);
         }
         let bank = dram.bank_of(req.addr);
-        if self.bank_queued.len() <= bank {
-            self.bank_queued.resize(bank + 1, 0);
+        let row = dram.row_of(req.addr);
+        if self.banks.len() <= bank {
+            self.banks.resize(bank + 1, BankFifo::EMPTY);
         }
-        self.bank_queued[bank] += 1;
-        self.queue.push_back(Queued {
+        let tail = self.banks[bank].tail;
+        let entry = Queued {
             req,
-            bank,
-            row: dram.row_of(req.addr),
+            row,
             at: now,
-        });
+            arrival: self.arrivals,
+            bank: bank as u32,
+            prev: tail,
+            next: NIL,
+        };
+        self.arrivals += 1;
+        let i = if self.free == NIL {
+            self.slab.push(entry);
+            (self.slab.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = entry;
+            i
+        };
+        let fifo = &mut self.banks[bank];
+        if tail == NIL {
+            fifo.head = i;
+        } else {
+            self.slab[tail as usize].next = i;
+        }
+        fifo.tail = i;
+        if fifo.hit == NIL && dram.row_open(bank, row) {
+            fifo.hit = i;
+        }
+        self.len += 1;
+        self.horizon = self.horizon.min(dram.bank_busy_until(bank));
         Ok(())
+    }
+
+    /// Unlinks slab entry `i` from its bank's FIFO onto the free list.
+    fn remove(&mut self, i: u32) -> Queued {
+        let q = self.slab[i as usize];
+        let fifo = &mut self.banks[q.bank as usize];
+        if q.prev == NIL {
+            fifo.head = q.next;
+        } else {
+            self.slab[q.prev as usize].next = q.next;
+        }
+        if q.next == NIL {
+            fifo.tail = q.prev;
+        } else {
+            self.slab[q.next as usize].prev = q.prev;
+        }
+        self.slab[i as usize].next = self.free;
+        self.free = i;
+        self.len -= 1;
+        q
+    }
+
+    /// The oldest entry of `bank`'s FIFO whose row is open, by walking it.
+    fn first_hit(&self, bank: usize, dram: &DramChannel) -> u32 {
+        let mut i = self.banks[bank].head;
+        while i != NIL && !dram.row_open(bank, self.slab[i as usize].row) {
+            i = self.slab[i as usize].next;
+        }
+        i
     }
 
     fn counters_mut(&mut self, app: AppId) -> &mut McCounters {
@@ -149,50 +262,65 @@ impl MemoryController {
     }
 
     /// FR-FCFS issue: forwards at most one queued request to `dram` —
-    /// the oldest row-hit with a free bank, else the oldest with a free
-    /// bank (single scan, both candidates tracked).
+    /// the oldest row hit over free banks, else the oldest head over free
+    /// banks. Returns at once before the cached issue horizon.
     fn issue_one(&mut self, now: u64, dram: &mut DramChannel) {
-        let mut first_free = None;
-        let mut pick = None;
-        for (i, q) in self.queue.iter().enumerate() {
-            if dram.bank_free_idx(q.bank, now) {
-                if first_free.is_none() {
-                    first_free = Some(i);
-                }
-                if dram.row_open(q.bank, q.row) {
-                    pick = Some(i);
-                    break;
+        if now < self.horizon {
+            return;
+        }
+        // (arrival, slab index) of the oldest row hit and oldest head.
+        let mut hit: Option<(u64, u32)> = None;
+        let mut head: Option<(u64, u32)> = None;
+        for (bank, fifo) in self.banks.iter().enumerate() {
+            if fifo.head == NIL || !dram.bank_free_idx(bank, now) {
+                continue;
+            }
+            for (best, i) in [(&mut hit, fifo.hit), (&mut head, fifo.head)] {
+                if i != NIL {
+                    let arrival = self.slab[i as usize].arrival;
+                    if best.is_none_or(|(a, _)| arrival < a) {
+                        *best = Some((arrival, i));
+                    }
                 }
             }
         }
-        let pick = pick.or(first_free);
-        if let Some(i) = pick {
-            let q = self.queue.remove(i).expect("index from position");
-            self.bank_queued[q.bank] -= 1;
-            let req = q.req;
-            let svc = dram.service_at(q.bank, q.row, now);
-            if self.metrics {
-                let app = req.app.index();
-                if self.latency.len() <= app {
-                    self.latency.resize(app + 1, Histogram::new());
-                }
-                self.latency[app].record(svc.done_at.saturating_sub(q.at));
+        let (_, i) = hit
+            .or(head)
+            .expect("a queued bank is free once the issue horizon has passed");
+        let q = self.remove(i);
+        let bank = q.bank as usize;
+        let req = q.req;
+        let svc = dram.service_at(bank, q.row, now);
+        self.banks[bank].hit = self.first_hit(bank, dram);
+        self.horizon = self
+            .banks
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.head != NIL)
+            .map(|(b, _)| dram.bank_busy_until(b))
+            .min()
+            .unwrap_or(u64::MAX);
+        if self.metrics {
+            let app = req.app.index();
+            if self.latency.len() <= app {
+                self.latency.resize(app + 1, Histogram::new());
             }
-            let c = self.counters_mut(req.app);
-            c.dram_bytes += LINE_SIZE;
-            if svc.row_hit {
-                c.row_hits += 1;
-            } else {
-                c.row_misses += 1;
-            }
-            if req.kind == AccessKind::Load {
-                self.seq += 1;
-                self.in_flight.push(Reverse(InFlight {
-                    done_at: svc.done_at,
-                    seq: self.seq,
-                    req,
-                }));
-            }
+            self.latency[app].record(svc.done_at.saturating_sub(q.at));
+        }
+        let c = self.counters_mut(req.app);
+        c.dram_bytes += LINE_SIZE;
+        if svc.row_hit {
+            c.row_hits += 1;
+        } else {
+            c.row_misses += 1;
+        }
+        if req.kind == AccessKind::Load {
+            self.seq += 1;
+            self.in_flight.push(Reverse(InFlight {
+                done_at: svc.done_at,
+                seq: self.seq,
+                req,
+            }));
         }
     }
 
@@ -227,16 +355,9 @@ impl MemoryController {
     /// clamped to `from` (`u64::MAX` when the queue is empty). Banks only
     /// change state when this controller issues to them, so the horizon is
     /// exact between steps — this is the controller's "next event at"
-    /// contract for the event engine. O(banks): it reads the per-bank
-    /// queued counts, not the queue.
-    pub fn next_issue_at(&self, dram: &DramChannel, from: u64) -> u64 {
-        self.bank_queued
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(bank, _)| dram.bank_busy_until(bank))
-            .min()
-            .map_or(u64::MAX, |t| t.max(from))
+    /// contract for the event engine. O(1): the horizon is cached.
+    pub fn next_issue_at(&self, from: u64) -> u64 {
+        self.horizon.max(from)
     }
 
     /// Per-application counters (zero for apps never seen).
@@ -256,7 +377,7 @@ impl MemoryController {
 
     /// Requests waiting to be issued.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.len
     }
 
     /// Loads issued to DRAM whose data has not yet returned.
@@ -266,7 +387,7 @@ impl MemoryController {
 
     /// True when no work is queued or in flight.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.in_flight.is_empty()
+        self.len == 0 && self.in_flight.is_empty()
     }
 }
 
@@ -438,17 +559,22 @@ mod tests {
         assert!(mc.take_latency(AppId::new(0)).is_empty());
     }
 
-    /// The queue-scan definition of the issue horizon that the per-bank
-    /// counts replace: min `busy_until` over every queued request's bank,
-    /// clamped to `from`.
+    /// The queue-scan definition of the issue horizon that the cached
+    /// horizon replaces: min `busy_until` over every queued request's bank,
+    /// clamped to `from`. Walks every bank FIFO entry by entry.
     fn scan_next_issue_at(mc: &MemoryController, dram: &DramChannel, from: u64) -> u64 {
         let mut next = u64::MAX;
-        for q in &mc.queue {
-            let t = dram.bank_busy_until(q.bank);
-            if t <= from {
-                return from;
+        for fifo in &mc.banks {
+            let mut i = fifo.head;
+            while i != NIL {
+                let q = &mc.slab[i as usize];
+                let t = dram.bank_busy_until(q.bank as usize);
+                if t <= from {
+                    return from;
+                }
+                next = next.min(t);
+                i = q.next;
             }
-            next = next.min(t);
         }
         next
     }
@@ -468,7 +594,7 @@ mod tests {
                 }
                 for from in [now, now + 1, now + 40] {
                     assert_eq!(
-                        mc.next_issue_at(&ch, from),
+                        mc.next_issue_at(from),
                         scan_next_issue_at(&mc, &ch, from),
                         "horizon diverged at cycle {now} (from {from})"
                     );

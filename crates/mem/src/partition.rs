@@ -266,10 +266,7 @@ impl MemoryPartition {
         if let Some(Reverse(t)) = self.hit_returns.peek() {
             next = next.min(t.at.max(from));
         }
-        if self.mc.queued() > 0 {
-            next = next.min(self.mc.next_issue_at(&self.dram, from));
-        }
-        next
+        next.min(self.mc.next_issue_at(from))
     }
 
     /// Enables or disables metrics recording in the memory controller

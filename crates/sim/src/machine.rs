@@ -845,6 +845,12 @@ impl Gpu {
             for _ in 0..cycles {
                 self.step_reference();
             }
+            // The reference engine steps (and so credits) every core every
+            // cycle: move the lazy-credit watermark along, as `step` does,
+            // so a later event-engine span does not find it behind.
+            for c in &mut self.credited_to {
+                *c = self.now;
+            }
             self.publish_engine_gauges();
             return;
         }

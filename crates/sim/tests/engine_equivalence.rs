@@ -329,6 +329,59 @@ fn knob_changes_at_event_boundaries_preserve_agreement() {
     }
 }
 
+/// One machine switches engines at random span boundaries and must track a
+/// machine that only ever ran the reference engine. Both step paths share
+/// the cores' per-slot issue state and stashed instructions and the
+/// controllers' queues, so a field only one path kept current would surface
+/// here as soon as the other path took over. Randomized machines plus the
+/// congested BLK+TRD co-run (where most warps sit stashed behind
+/// structural hazards), with mid-run TLP and bypass changes.
+#[test]
+fn engine_switches_at_span_boundaries_preserve_agreement() {
+    let mut rng = SplitMix64::new(0xE961_7E60);
+    for trial in 0..6 {
+        let (mut switching, mut reference) = if trial == 0 {
+            let cfg = GpuConfig::small();
+            let w = Workload::pair("BLK", "TRD");
+            let build = || Gpu::new(&cfg, w.apps(), 42);
+            (build(), build())
+        } else {
+            random_pair(&mut rng)
+        };
+        reference.set_reference_engine(true);
+        let mut switches = 0;
+        for leg in 0..16 {
+            if rng.next_below(2) == 0 {
+                switches += 1;
+                switching.set_reference_engine(switches % 2 == 1);
+            }
+            let app = AppId::new(rng.next_below(2) as u8);
+            match rng.next_below(4) {
+                0 => {
+                    let lvl = TlpLevel::new(1 + rng.next_below(16) as u32).unwrap();
+                    switching.set_tlp(app, lvl);
+                    reference.set_tlp(app, lvl);
+                }
+                1 => {
+                    let bypass = rng.next_below(2) == 0;
+                    switching.set_bypass_l1(app, bypass);
+                    reference.set_bypass_l1(app, bypass);
+                }
+                _ => {}
+            }
+            let span = 1 + rng.next_below(400);
+            switching.run(span);
+            reference.run(span);
+            assert_machines_equal(
+                &switching,
+                &reference,
+                &format!("trial {trial} leg {leg} after {switches} switches"),
+            );
+        }
+        assert!(switches >= 2, "trial {trial} never switched back");
+    }
+}
+
 /// On a DRAM-stalled co-run the event engine must actually skip most
 /// component-steps — otherwise the per-component skip machinery (and the
 /// BENCH_engine.json speedup it buys) would be vacuous. Cores dominate the

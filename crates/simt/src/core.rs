@@ -7,9 +7,9 @@
 //! without any synchronization inside this crate.
 
 use crate::ccws::{CcwsParams, CcwsThrottle};
-use crate::inst::{coalesce, Inst, InstStream};
+use crate::inst::{coalesce_capped, Inst, InstStream};
 use crate::scheduler::GtoScheduler;
-use crate::warp::Warp;
+use crate::warp::{InstBuffer, Stashed, Warp};
 use gpu_mem::cache::{Cache, CacheCounters, Lookup};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
 use gpu_types::FxHashMap;
@@ -152,7 +152,12 @@ pub struct SimtCore {
     pub id: CoreId,
     /// The application the core is assigned to (§II-A: exclusive core sets).
     pub app: AppId,
+    /// Per-slot issue state, the one copy every step path, `receive` and
+    /// `complete` read and write: compact, so re-offering a blocked warp
+    /// each cycle never touches its instruction stream or line list.
     warps: Vec<Warp>,
+    /// Per-slot instruction streams and stashed line lists.
+    insts: Vec<InstBuffer>,
     schedulers: Vec<GtoScheduler>,
     l1: Cache,
     l1_hit_latency: u64,
@@ -225,9 +230,10 @@ impl SimtCore {
             cfg.warps_per_core,
             "need one instruction stream per warp slot"
         );
-        let warps: Vec<Warp> = streams
+        let warps = vec![Warp::new(params.max_outstanding_loads); streams.len()];
+        let insts = streams
             .into_iter()
-            .map(|s| Warp::new(s, params.max_outstanding_loads))
+            .map(|s| InstBuffer::new(s, params.max_txn_per_inst))
             .collect();
         let per_sched = cfg.warps_per_scheduler();
         let schedulers = (0..cfg.schedulers_per_core)
@@ -242,6 +248,7 @@ impl SimtCore {
             id,
             app,
             warps,
+            insts,
             schedulers,
             // The L1 is private to this core's application, but counters are
             // indexed by the machine-wide AppId, so size up to it.
@@ -434,9 +441,19 @@ impl SimtCore {
         self.egress.front()
     }
 
+    /// The hot path's structural gate for a stashed memory instruction
+    /// needing `need` line transactions: exactly the checks of
+    /// [`Self::issue_load`] / [`Self::issue_store`], read from the
+    /// per-slot summary instead of a line list.
+    fn struct_blocked(&self, need: usize, load: bool) -> bool {
+        self.egress.len() + need > self.egress_capacity
+            || (load && !self.bypass_l1 && self.l1.mshr_free() < need)
+    }
+
+    /// Reference-path load issue: coalesce (a no-op on a stashed, already
+    /// coalesced list), then check the structural hazards on the lines.
     fn issue_load(&mut self, slot: usize, addrs: &[Address], now: u64) -> bool {
-        let mut lines = coalesce(addrs);
-        lines.truncate(self.params.max_txn_per_inst);
+        let lines = coalesce_capped(addrs, self.params.max_txn_per_inst);
         // Structural hazards: egress space for the worst case (all miss or
         // bypass), and enough free L1 MSHR headroom when cached.
         if self.egress.len() + lines.len() > self.egress_capacity {
@@ -445,9 +462,15 @@ impl SimtCore {
         if !self.bypass_l1 && self.l1.mshr_free() < lines.len() {
             return false;
         }
+        self.emit_load(slot, &lines, now);
+        true
+    }
+
+    /// Issues a load whose coalesced `lines` passed the structural gate.
+    fn emit_load(&mut self, slot: usize, lines: &[Address], now: u64) {
         let n = lines.len();
         let was_waiting = self.warps[slot].waiting_mem();
-        for &line in &lines {
+        for &line in lines {
             let id = self.fresh_id();
             self.pending.insert(
                 id,
@@ -498,16 +521,21 @@ impl SimtCore {
         if !was_waiting && self.warps[slot].waiting_mem() {
             self.waiting_now += 1;
         }
-        true
     }
 
+    /// Reference-path store issue.
     fn issue_store(&mut self, slot: usize, addrs: &[Address], now: u64) -> bool {
-        let mut lines = coalesce(addrs);
-        lines.truncate(self.params.max_txn_per_inst);
+        let lines = coalesce_capped(addrs, self.params.max_txn_per_inst);
         if self.egress.len() + lines.len() > self.egress_capacity {
             return false;
         }
-        for &line in &lines {
+        self.emit_store(slot, &lines, now);
+        true
+    }
+
+    /// Issues a store whose coalesced `lines` passed the structural gate.
+    fn emit_store(&mut self, slot: usize, lines: &[Address], now: u64) {
+        for &line in lines {
             let id = self.fresh_id();
             self.egress.push_back(MemRequest::new(
                 id,
@@ -519,7 +547,6 @@ impl SimtCore {
             ));
         }
         self.warps[slot].issue_mem(now, 0);
-        true
     }
 
     /// Advances the core one cycle: returns L1 hits that completed and lets
@@ -591,47 +618,36 @@ impl SimtCore {
                 if !self.warps[slot].ready(now) {
                     continue;
                 }
-                // O(1) structural gates, read before touching the
-                // instruction: under congestion every scheduler re-offers
-                // its blocked warps each cycle, and peeking by reference
-                // with these gates keeps that retry free of both the
-                // coalesce scan and any copy of the warp-width address
-                // list. The gated outcome is exactly what `issue_load` /
-                // `issue_store` would return (their line count is >= 1 for
-                // a non-empty address list).
-                let egress_full = self.egress.len() >= self.egress_capacity;
-                let mshr_exhausted = !self.bypass_l1 && self.l1.mshr_free() == 0;
-                let ok = match self.warps[slot].peek_inst() {
-                    None => continue,
-                    Some(Inst::Alu { cycles }) => {
-                        let cycles = *cycles;
-                        self.warps[slot].consume_inst();
+                // The structural gate reads only the compact per-slot
+                // summary: under congestion every scheduler re-offers its
+                // blocked warps each cycle, and the stash already holds
+                // the instruction's coalesced line count, so a retry costs
+                // O(1) and reads no line list. The line list is read only
+                // once the gate passes.
+                let ok = match self.insts[slot].peek(&mut self.warps[slot]) {
+                    Stashed::Empty => continue,
+                    Stashed::Alu(cycles) => {
+                        self.warps[slot].take_stash();
                         self.warps[slot].issue_alu(now, cycles);
                         true
                     }
-                    Some(Inst::Load { addrs }) => {
-                        if !addrs.is_empty() && (egress_full || mshr_exhausted) {
-                            false
-                        } else {
-                            let addrs = *addrs;
-                            let ok = self.issue_load(slot, &addrs, now);
-                            if ok {
-                                self.warps[slot].consume_inst();
-                            }
-                            ok
+                    Stashed::Load(need) => {
+                        let ok = !self.struct_blocked(need as usize, true);
+                        if ok {
+                            self.warps[slot].take_stash();
+                            let lines = *self.insts[slot].lines();
+                            self.emit_load(slot, &lines, now);
                         }
+                        ok
                     }
-                    Some(Inst::Store { addrs }) => {
-                        if !addrs.is_empty() && egress_full {
-                            false
-                        } else {
-                            let addrs = *addrs;
-                            let ok = self.issue_store(slot, &addrs, now);
-                            if ok {
-                                self.warps[slot].consume_inst();
-                            }
-                            ok
+                    Stashed::Store(need) => {
+                        let ok = !self.struct_blocked(need as usize, false);
+                        if ok {
+                            self.warps[slot].take_stash();
+                            let lines = *self.insts[slot].lines();
+                            self.emit_store(slot, &lines, now);
                         }
+                        ok
                     }
                 };
                 if ok {
@@ -756,7 +772,7 @@ impl SimtCore {
                 if !self.warps[slot].ready(now) {
                     continue;
                 }
-                let Some(inst) = self.warps[slot].fetch() else {
+                let Some(inst) = self.insts[slot].fetch(&mut self.warps[slot]) else {
                     continue;
                 };
                 let ok = match &inst {
@@ -773,7 +789,7 @@ impl SimtCore {
                     self.schedulers[si].record_issue(slot);
                     break;
                 }
-                self.warps[slot].stash(inst);
+                self.insts[slot].stash(&mut self.warps[slot], inst);
                 saw_struct_block = true;
             }
         }
@@ -1352,6 +1368,111 @@ mod tests {
         }
         assert_eq!(batched.stats(), stepped.stats());
         assert_eq!(batched.warp_stalls(), stepped.warp_stalls());
+    }
+
+    /// A random instruction mix for one warp: ALU ops, loads touching 1 to
+    /// 32 lines (threads share lines, so the coalescer merges), stores,
+    /// and memory instructions with an empty address list.
+    fn random_insts(rng: &mut gpu_types::SplitMix64, n: usize) -> Vec<Inst> {
+        (0..n)
+            .map(|_| {
+                let lines = 1 + rng.next_below(32);
+                let threads = if rng.next_below(8) == 0 {
+                    0
+                } else {
+                    1 + rng.next_below(32)
+                };
+                let base = rng.next_below(64) * 32;
+                let addrs: AddrList = (0..threads)
+                    .map(|_| {
+                        Address::new((base + rng.next_below(lines)) * 128 + rng.next_below(128))
+                    })
+                    .collect();
+                match rng.next_below(4) {
+                    0 => Inst::Alu {
+                        cycles: 1 + rng.next_below(6) as u32,
+                    },
+                    1 => Inst::Store { addrs },
+                    _ => Inst::Load { addrs },
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn congested_retries_match_reference_step() {
+        // A congested core re-offers structurally blocked warps every
+        // cycle: the fast path gates them from the per-slot stash summary,
+        // the reference re-coalesces each attempt. Egress drains one
+        // request per cycle on average and the L1 has four MSHRs, so both gates
+        // bind; the transaction cap truncates wide loads, and bypass and
+        // TLP change mid-run. Statistics, stall buckets and the egress
+        // stream must agree exactly.
+        let mut cfg = small_cfg();
+        cfg.l1.mshr_entries = 4;
+        for seed in 0..4u64 {
+            let make = || {
+                let mut rng = gpu_types::SplitMix64::new(0xC0E_0000 + seed);
+                let streams = (0..cfg.warps_per_core)
+                    .map(|_| {
+                        Box::new(Scripted::new(random_insts(&mut rng, 120))) as Box<dyn InstStream>
+                    })
+                    .collect();
+                let params = CoreParams {
+                    max_outstanding_loads: 1 + seed as usize * 3,
+                    max_txn_per_inst: [32, 8, 3, 1][seed as usize],
+                };
+                let mut core = SimtCore::new(CoreId(0), AppId::new(0), &cfg, params, streams);
+                core.set_metrics_enabled(true);
+                core
+            };
+            let run = |core: &mut SimtCore, reference: bool| {
+                let mut rng = gpu_types::SplitMix64::new(0xD1CE + seed);
+                let mut returns: std::collections::VecDeque<(u64, MemRequest)> = Default::default();
+                let mut egress = Vec::new();
+                for now in 0..4_000u64 {
+                    if now % 250 == 249 {
+                        core.set_bypass_l1(rng.next_below(2) == 0);
+                        let per_sched = cfg.warps_per_scheduler() as u64;
+                        core.set_tlp(TlpLevel::new(1 + rng.next_below(per_sched) as u32).unwrap());
+                    }
+                    while matches!(returns.front(), Some((t, _)) if *t <= now) {
+                        let (_, req) = returns.pop_front().unwrap();
+                        core.receive(req);
+                    }
+                    if reference {
+                        core.step_reference(now);
+                    } else {
+                        core.step(now);
+                    }
+                    for _ in 0..rng.next_below(3) {
+                        if let Some(req) = core.pop_request() {
+                            egress.push((now, req));
+                            if req.needs_response() {
+                                returns.push_back((now + 30, req));
+                            }
+                        }
+                    }
+                }
+                egress
+            };
+            let mut fast = make();
+            let mut slow = make();
+            let fast_egress = run(&mut fast, false);
+            let slow_egress = run(&mut slow, true);
+            assert_eq!(fast.stats(), slow.stats(), "seed {seed}");
+            assert_eq!(fast.warp_stalls(), slow.warp_stalls(), "seed {seed}");
+            assert_eq!(fast_egress, slow_egress, "seed {seed}");
+            let stats = fast.stats();
+            assert!(
+                stats.struct_stall_cycles > 100,
+                "seed {seed}: not congested: {stats:?}"
+            );
+            assert!(
+                stats.insts > 200,
+                "seed {seed}: too little issued: {stats:?}"
+            );
+        }
     }
 
     #[test]

@@ -211,6 +211,14 @@ pub fn coalesce(addrs: &[Address]) -> AddrList {
     lines
 }
 
+/// [`coalesce`], keeping at most `max_txn` transactions (the core's
+/// per-instruction cap). Applied to its own result it changes nothing.
+pub(crate) fn coalesce_capped(addrs: &[Address], max_txn: usize) -> AddrList {
+    let mut lines = coalesce(addrs);
+    lines.truncate(max_txn);
+    lines
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

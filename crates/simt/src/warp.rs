@@ -1,61 +1,69 @@
 //! Per-warp execution state.
+//!
+//! A warp slot is split in two. [`Warp`] is the compact issue state the
+//! schedulers read every cycle: ALU latency, outstanding loads against the
+//! tolerance, retirement, and a summary ([`Stashed`]) of the instruction
+//! waiting in the warp's one-entry stash — enough to decide readiness and
+//! the structural gate without touching the instruction itself.
+//! [`InstBuffer`] is the bulky half: the instruction stream and the line
+//! list of a stashed memory instruction, read only when that instruction
+//! actually issues.
 
-use crate::inst::InstStream;
+use crate::inst::{coalesce_capped, AddrList, Inst, InstStream};
 
-/// A warp: an instruction stream plus the issue/stall state the scheduler
-/// inspects every cycle.
+/// The instruction waiting in a warp's stash, summarised for the issue gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stashed {
+    /// Nothing stashed: the next issue attempt pulls from the stream.
+    Empty,
+    /// An ALU instruction occupying the warp for this many cycles.
+    Alu(u32),
+    /// A load needing this many line transactions (its coalesced,
+    /// truncated line count, held in the warp's [`InstBuffer`]).
+    Load(u8),
+    /// A store needing this many line transactions.
+    Store(u8),
+}
+
+/// A warp's issue state: everything the scheduler inspects every cycle.
+#[derive(Debug, Clone, Copy)]
 pub struct Warp {
-    stream: Box<dyn InstStream>,
-    /// An instruction fetched but not issued (structural hazard); retried
-    /// before the stream is consulted again.
-    stashed: Option<crate::inst::Inst>,
     /// Earliest cycle the warp may issue again (ALU latency).
     ready_at: u64,
+    /// Warp instructions issued (for per-warp diagnostics).
+    issued: u64,
     /// Load transactions issued but not yet returned.
-    inflight_loads: usize,
+    inflight_loads: u32,
     /// Outstanding-load tolerance: once `inflight_loads` reaches this, the
     /// warp stalls until returns bring it back below. Models the dependency
     /// distance of the application's code — small values make it
     /// latency-bound, large values give memory-level parallelism.
-    max_outstanding: usize,
+    max_outstanding: u32,
+    /// The instruction fetched but not yet issued (structural hazard).
+    stashed: Stashed,
     /// The stream returned `None`; the warp has retired.
     finished: bool,
-    /// Warp instructions issued (for per-warp diagnostics).
-    issued: u64,
-}
-
-impl std::fmt::Debug for Warp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Warp")
-            .field("ready_at", &self.ready_at)
-            .field("inflight_loads", &self.inflight_loads)
-            .field("max_outstanding", &self.max_outstanding)
-            .field("finished", &self.finished)
-            .field("issued", &self.issued)
-            .finish()
-    }
 }
 
 impl Warp {
-    /// Creates a warp over `stream` with the given outstanding-load
-    /// tolerance.
+    /// Creates a warp with the given outstanding-load tolerance.
     ///
     /// # Panics
     ///
-    /// Panics if `max_outstanding` is zero.
-    pub fn new(stream: Box<dyn InstStream>, max_outstanding: usize) -> Self {
+    /// Panics if `max_outstanding` is zero or does not fit in 32 bits.
+    pub fn new(max_outstanding: usize) -> Self {
         assert!(
             max_outstanding > 0,
             "a warp must tolerate at least one outstanding load"
         );
         Warp {
-            stream,
-            stashed: None,
             ready_at: 0,
-            inflight_loads: 0,
-            max_outstanding,
-            finished: false,
             issued: 0,
+            inflight_loads: 0,
+            max_outstanding: u32::try_from(max_outstanding)
+                .expect("outstanding-load tolerance fits in 32 bits"),
+            stashed: Stashed::Empty,
+            finished: false,
         }
     }
 
@@ -75,52 +83,10 @@ impl Warp {
         self.finished
     }
 
-    /// Pulls the next instruction (a previously stashed one first); marks
-    /// the warp finished when the stream ends. Only call when [`Self::ready`].
-    pub fn fetch(&mut self) -> Option<crate::inst::Inst> {
-        if let Some(i) = self.stashed.take() {
-            return Some(i);
-        }
-        match self.stream.next_inst() {
-            Some(i) => Some(i),
-            None => {
-                self.finished = true;
-                None
-            }
-        }
-    }
-
-    /// Puts back an instruction that could not issue due to a structural
-    /// hazard; the next [`Self::fetch`] returns it again.
-    pub fn stash(&mut self, inst: crate::inst::Inst) {
-        debug_assert!(self.stashed.is_none(), "double stash");
-        self.stashed = Some(inst);
-    }
-
-    /// The next instruction *without* consuming it, filling the one-entry
-    /// stash from the stream on first peek; marks the warp finished when
-    /// the stream ends. The hot issue path peeks by reference so a
-    /// structural-hazard retry moves no instruction bytes at all
-    /// ([`crate::inst::Inst`] carries a full warp-width address list), and
-    /// calls [`Self::consume_inst`] only on successful issue. Equivalent to
-    /// [`Self::fetch`] + [`Self::stash`], which the reference engine keeps.
-    pub fn peek_inst(&mut self) -> Option<&crate::inst::Inst> {
-        if self.stashed.is_none() {
-            match self.stream.next_inst() {
-                Some(i) => self.stashed = Some(i),
-                None => {
-                    self.finished = true;
-                    return None;
-                }
-            }
-        }
-        self.stashed.as_ref()
-    }
-
-    /// Consumes the instruction returned by the last [`Self::peek_inst`].
-    pub fn consume_inst(&mut self) {
-        debug_assert!(self.stashed.is_some(), "consume without a peeked inst");
-        self.stashed = None;
+    /// The stashed instruction's summary, leaving the stash empty. The
+    /// core calls this when the stashed instruction issues.
+    pub fn take_stash(&mut self) -> Stashed {
+        std::mem::replace(&mut self.stashed, Stashed::Empty)
     }
 
     /// Records the issue of an ALU instruction taking `cycles`.
@@ -136,7 +102,8 @@ impl Warp {
     pub fn issue_mem(&mut self, now: u64, transactions: usize) {
         self.issued += 1;
         self.ready_at = now + 1;
-        self.inflight_loads += transactions;
+        self.inflight_loads +=
+            u32::try_from(transactions).expect("at most a warp's width of lines");
     }
 
     /// One of this warp's load transactions returned.
@@ -166,25 +133,115 @@ impl Warp {
 
     /// Loads currently in flight.
     pub fn inflight(&self) -> usize {
-        self.inflight_loads
+        self.inflight_loads as usize
+    }
+}
+
+/// A warp's instruction stream and the line list of its stashed memory
+/// instruction — the half of a warp slot the issue gate never reads.
+pub struct InstBuffer {
+    stream: Box<dyn InstStream>,
+    /// Coalesced lines of the stashed memory instruction, truncated to the
+    /// core's per-instruction transaction cap. Meaningful only while the
+    /// warp's summary is [`Stashed::Load`] or [`Stashed::Store`].
+    lines: AddrList,
+    /// `CoreParams::max_txn_per_inst` of the owning core.
+    max_txn: usize,
+}
+
+impl std::fmt::Debug for InstBuffer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InstBuffer")
+            .field("lines", &self.lines)
+            .field("max_txn", &self.max_txn)
+            .finish()
+    }
+}
+
+impl InstBuffer {
+    /// Creates a buffer over `stream` whose memory instructions keep at
+    /// most `max_txn` line transactions after coalescing.
+    pub fn new(stream: Box<dyn InstStream>, max_txn: usize) -> Self {
+        InstBuffer {
+            stream,
+            lines: AddrList::new(),
+            max_txn,
+        }
+    }
+
+    /// The stashed instruction's summary, first filling an empty stash
+    /// from the stream; marks the warp finished when the stream ends (and
+    /// returns [`Stashed::Empty`]). Only call when [`Warp::ready`].
+    pub fn peek(&mut self, warp: &mut Warp) -> Stashed {
+        if warp.stashed == Stashed::Empty {
+            match self.stream.next_inst() {
+                Some(inst) => self.stash(warp, inst),
+                None => warp.finished = true,
+            }
+        }
+        warp.stashed
+    }
+
+    /// Takes the stashed instruction, or else the stream's next one; marks
+    /// the warp finished when the stream ends. Only call when
+    /// [`Warp::ready`]. A stashed memory instruction comes back with its
+    /// coalesced line list as its addresses; coalescing that list again
+    /// returns it unchanged.
+    pub fn fetch(&mut self, warp: &mut Warp) -> Option<Inst> {
+        match warp.take_stash() {
+            Stashed::Empty => {
+                let inst = self.stream.next_inst();
+                warp.finished = inst.is_none();
+                inst
+            }
+            Stashed::Alu(cycles) => Some(Inst::Alu { cycles }),
+            Stashed::Load(_) => Some(Inst::Load { addrs: self.lines }),
+            Stashed::Store(_) => Some(Inst::Store { addrs: self.lines }),
+        }
+    }
+
+    /// Puts `inst` into the warp's empty stash. A memory instruction is
+    /// coalesced here, once: the buffer keeps its line list, truncated to
+    /// the transaction cap, and the warp's summary its line count.
+    pub fn stash(&mut self, warp: &mut Warp, inst: Inst) {
+        debug_assert_eq!(warp.stashed, Stashed::Empty, "double stash");
+        warp.stashed = match inst {
+            Inst::Alu { cycles } => Stashed::Alu(cycles),
+            Inst::Load { addrs } => {
+                self.lines = coalesce_capped(&addrs, self.max_txn);
+                Stashed::Load(self.lines.len() as u8)
+            }
+            Inst::Store { addrs } => {
+                self.lines = coalesce_capped(&addrs, self.max_txn);
+                Stashed::Store(self.lines.len() as u8)
+            }
+        };
+    }
+
+    /// The stashed memory instruction's line list.
+    pub fn lines(&self) -> &AddrList {
+        &self.lines
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Inst;
     use crate::streams::Scripted;
+    use gpu_types::Address;
 
-    fn warp_with(insts: Vec<Inst>, tol: usize) -> Warp {
-        Warp::new(Box::new(Scripted::new(insts)), tol)
+    fn warp_with(insts: Vec<Inst>, tol: usize) -> (Warp, InstBuffer) {
+        (
+            Warp::new(tol),
+            InstBuffer::new(Box::new(Scripted::new(insts)), 32),
+        )
     }
 
     #[test]
     fn alu_latency_blocks_reissue() {
-        let mut w = warp_with(vec![Inst::Alu { cycles: 3 }], 1);
+        let (mut w, mut b) = warp_with(vec![Inst::Alu { cycles: 3 }], 1);
         assert!(w.ready(0));
-        w.fetch().unwrap();
+        b.fetch(&mut w).unwrap();
         w.issue_alu(0, 3);
         assert!(!w.ready(2));
         assert!(w.ready(3));
@@ -192,7 +249,7 @@ mod tests {
 
     #[test]
     fn outstanding_loads_block_at_tolerance() {
-        let mut w = warp_with(vec![Inst::load1(0), Inst::load1(128)], 2);
+        let mut w = Warp::new(2);
         w.issue_mem(0, 1);
         assert!(w.ready(1), "one outstanding load below tolerance 2");
         w.issue_mem(1, 1);
@@ -204,35 +261,62 @@ mod tests {
 
     #[test]
     fn finished_when_stream_ends() {
-        let mut w = warp_with(vec![Inst::alu1()], 1);
-        assert!(w.fetch().is_some());
+        let (mut w, mut b) = warp_with(vec![Inst::alu1()], 1);
+        assert!(b.fetch(&mut w).is_some());
         w.issue_alu(0, 1);
-        assert!(w.fetch().is_none());
+        assert!(b.fetch(&mut w).is_none());
         assert!(w.finished());
         assert!(!w.ready(100));
+        let (mut w, mut b) = warp_with(vec![], 1);
+        assert_eq!(b.peek(&mut w), Stashed::Empty);
+        assert!(w.finished(), "peek retires the warp too");
     }
 
     #[test]
     fn issue_counts() {
-        let mut w = warp_with(vec![Inst::alu1(), Inst::load1(0)], 4);
-        w.fetch().unwrap();
+        let (mut w, mut b) = warp_with(vec![Inst::alu1(), Inst::load1(0)], 4);
+        b.fetch(&mut w).unwrap();
         w.issue_alu(0, 1);
-        w.fetch().unwrap();
+        b.fetch(&mut w).unwrap();
         w.issue_mem(1, 3);
         assert_eq!(w.issued(), 2);
         assert_eq!(w.inflight(), 3);
     }
 
     #[test]
+    fn stash_coalesces_once_and_truncates() {
+        // Eight threads over four lines, capped at three transactions.
+        let addrs: AddrList = (0..8).map(|i| Address::new((i % 4) * 128 + i)).collect();
+        let mut w = Warp::new(1);
+        let mut b = InstBuffer::new(
+            Box::new(Scripted::new(vec![Inst::Load { addrs }, Inst::store1(5)])),
+            3,
+        );
+        assert_eq!(b.peek(&mut w), Stashed::Load(3));
+        let lines: Vec<Address> = (0..3).map(|i| Address::new(i * 128)).collect();
+        assert_eq!(&b.lines()[..], &lines[..]);
+        assert_eq!(b.peek(&mut w), Stashed::Load(3), "peek leaves the stash");
+        // Fetching and re-stashing a coalesced list is idempotent.
+        let inst = b.fetch(&mut w).unwrap();
+        assert_eq!(w.take_stash(), Stashed::Empty);
+        b.stash(&mut w, inst);
+        assert_eq!(b.peek(&mut w), Stashed::Load(3));
+        assert_eq!(&b.lines()[..], &lines[..]);
+        assert_eq!(w.take_stash(), Stashed::Load(3));
+        assert_eq!(b.peek(&mut w), Stashed::Store(1));
+        assert_eq!(&b.lines()[..], &[Address::new(0)]);
+    }
+
+    #[test]
     #[should_panic(expected = "none in flight")]
     fn spurious_return_panics() {
-        let mut w = warp_with(vec![], 1);
+        let mut w = Warp::new(1);
         w.load_returned();
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_tolerance_panics() {
-        let _ = warp_with(vec![], 0);
+        let _ = Warp::new(0);
     }
 }

@@ -23,6 +23,9 @@ cargo test -p gpu-sim --test engine_equivalence --release -q
 echo "== Volta pin gate (perfbench volta_corun: every output digest matches perfbench/pins.json) =="
 python3 perfbench/run.py --workload volta_corun --seed 42 --seconds 5 --trace 0
 
+echo "== campaign pin gate (perfbench campaign_cold: all quick-campaign artifacts byte-identical to perfbench/pins.json) =="
+python3 perfbench/run.py --workload campaign_cold --seed 3 --seconds 1 --trace 0
+
 echo "== cargo test --doc (workspace doctests) =="
 cargo test --workspace --release -q --doc
 
